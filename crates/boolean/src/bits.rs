@@ -313,6 +313,97 @@ impl BitVec {
     }
 }
 
+/// Flips the sign of `w` when `bit` is 1 — the IEEE-exact equivalent of
+/// `w * (if bit == 1 { -1.0 } else { 1.0 })`, i.e. of `w * x.pm(j)`.
+#[inline(always)]
+fn sign_select(w: f64, bit: u64) -> f64 {
+    f64::from_bits(w.to_bits() ^ (bit << 63))
+}
+
+/// Packed ±1 dot product: `init + Σ_j w_j·χ_j`, where `χ_j = −1` iff bit
+/// `j` of `signs` is set (the [`BitVec::words`] layout).
+///
+/// The terms are added one at a time in index order `0..w.len()`
+/// starting from `init`, so the result is bit-identical to the scalar
+/// fold `w.iter().enumerate().fold(init, |s, (j, w)| s + w * x.pm(j))`:
+/// each product with `±1.0` is an exact sign flip. Bits at positions
+/// `≥ w.len()` are ignored.
+///
+/// # Panics
+///
+/// Panics if `signs` holds fewer than `w.len()` bits.
+///
+/// # Example
+///
+/// ```
+/// use mlam_boolean::bits::signed_dot;
+/// use mlam_boolean::BitVec;
+///
+/// let x = BitVec::from_bools(&[false, true, true]);
+/// // -0.5 + 1.0·(+1) + 2.0·(−1) + 4.0·(−1)
+/// assert_eq!(signed_dot(-0.5, &[1.0, 2.0, 4.0], x.words()), -5.5);
+/// ```
+#[inline]
+pub fn signed_dot(init: f64, w: &[f64], signs: &[u64]) -> f64 {
+    assert!(signs.len() * 64 >= w.len(), "sign row shorter than weights");
+    let mut s = init;
+    for (chunk, &word) in w.chunks(64).zip(signs) {
+        let mut bits = word;
+        for &wj in chunk {
+            s += sign_select(wj, bits & 1);
+            bits >>= 1;
+        }
+    }
+    s
+}
+
+/// [`signed_dot`] over four sign rows at once, with the same `w`.
+///
+/// Each row keeps its own accumulator and receives its terms in the
+/// same order as a lone [`signed_dot`], so every lane is bit-identical
+/// to the one-row kernel; the four independent add chains only hide
+/// the floating-point add latency.
+///
+/// # Panics
+///
+/// Panics if any row holds fewer than `w.len()` bits.
+#[inline]
+pub fn signed_dot4(init: f64, w: &[f64], rows: [&[u64]; 4]) -> [f64; 4] {
+    for r in rows {
+        assert!(r.len() * 64 >= w.len(), "sign row shorter than weights");
+    }
+    let mut s = [init; 4];
+    for (g, chunk) in w.chunks(64).enumerate() {
+        let mut bits = rows.map(|r| r[g]);
+        for &wj in chunk {
+            for (acc, b) in s.iter_mut().zip(&mut bits) {
+                *acc += sign_select(wj, *b & 1);
+                *b >>= 1;
+            }
+        }
+    }
+    s
+}
+
+/// Packed ±1 update: `w_j += t·χ_j` for every `j < w.len()`, with `χ_j`
+/// read from `signs` as in [`signed_dot`] — bit-identical to the scalar
+/// `w_j += t * x.pm(j)`.
+///
+/// # Panics
+///
+/// Panics if `signs` holds fewer than `w.len()` bits.
+#[inline]
+pub fn signed_add(t: f64, w: &mut [f64], signs: &[u64]) {
+    assert!(signs.len() * 64 >= w.len(), "sign row shorter than weights");
+    for (chunk, &word) in w.chunks_mut(64).zip(signs) {
+        let mut bits = word;
+        for wj in chunk {
+            *wj += sign_select(t, bits & 1);
+            bits >>= 1;
+        }
+    }
+}
+
 /// Iterator over the bits of a [`BitVec`].
 pub struct Iter<'a> {
     v: &'a BitVec,
@@ -376,7 +467,7 @@ impl FromIterator<bool> for BitVec {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn zeros_and_ones() {
@@ -518,6 +609,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn signed_kernels_match_scalar_pm_loops() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for len in [0usize, 1, 5, 63, 64, 65, 130] {
+            let rows: Vec<BitVec> = (0..4).map(|_| BitVec::random(len, &mut rng)).collect();
+            let real: Vec<f64> = (0..len).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let ints: Vec<f64> = (0..len).map(|_| rng.gen_range(-1..=1) as f64).collect();
+            for (w, init) in [(&real, 0.25), (&ints, 0.0), (&ints, -0.0)] {
+                let scalar = |x: &BitVec| (0..len).fold(init, |s, j| s + w[j] * x.pm(j));
+                let quad = signed_dot4(init, w, [0, 1, 2, 3].map(|k| rows[k].words()));
+                for (x, q) in rows.iter().zip(quad) {
+                    let one = signed_dot(init, w, x.words());
+                    assert_eq!(one.to_bits(), scalar(x).to_bits(), "len {len}");
+                    assert_eq!(q.to_bits(), one.to_bits(), "len {len}");
+                }
+                let mut fast = w.clone();
+                let mut slow = w.clone();
+                signed_add(-0.5, &mut fast, rows[0].words());
+                for (j, v) in slow.iter_mut().enumerate() {
+                    *v += -0.5 * rows[0].pm(j);
+                }
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_dot_reads_only_the_weighted_prefix() {
+        // Bits 3.. of the row are set but carry no weight.
+        let x = BitVec::ones(70);
+        assert_eq!(signed_dot(0.0, &[1.0, 2.0, 4.0], x.words()), -7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sign row shorter")]
+    fn signed_dot_rejects_short_rows() {
+        signed_dot(0.0, &[1.0; 65], BitVec::zeros(64).words());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! (Chow's theorem) and which Section V-A approximates from CRPs to build
 //! the surrogate `f′` of Table II.
 
-use crate::bits::BitVec;
+use crate::bits::{signed_add, signed_dot, BitVec};
 use crate::function::BooleanFunction;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// A linear threshold function `x ↦ sgn(w·x − θ)` over `x ∈ {-1,+1}^n`.
 ///
@@ -65,11 +66,7 @@ impl LinearThreshold {
     /// The real-valued margin `w·x − θ` at an input (±1 encoding).
     pub fn margin(&self, x: &BitVec) -> f64 {
         assert_eq!(x.len(), self.weights.len(), "input length mismatch");
-        let mut s = -self.threshold;
-        for (i, w) in self.weights.iter().enumerate() {
-            s += w * x.pm(i);
-        }
-        s
+        signed_dot(-self.threshold, &self.weights, x.words())
     }
 
     /// Rescales weights and threshold to unit Euclidean norm
@@ -153,9 +150,7 @@ impl ChowParameters {
                 let x = BitVec::from_u64(v, n);
                 let fx = f.eval_pm(&x);
                 constant += fx;
-                for (i, d) in degree_one.iter_mut().enumerate() {
-                    *d += fx * x.pm(i);
-                }
+                signed_add(fx, &mut degree_one, x.words());
             }
             (constant, degree_one)
         });
@@ -193,16 +188,23 @@ impl ChowParameters {
     ///
     /// Panics if `data` is empty.
     pub fn from_data(n: usize, data: &[(BitVec, bool)]) -> Self {
+        Self::from_examples(n, data)
+    }
+
+    /// [`ChowParameters::from_data`] over owned or borrowed examples, so
+    /// the halfspace tester can run it on a shuffled split without
+    /// cloning the vectors.
+    pub(crate) fn from_examples<E: Borrow<(BitVec, bool)> + Sync>(n: usize, data: &[E]) -> Self {
         assert!(!data.is_empty(), "empty sample");
         let partials = mlam_par::par_chunk_map(data, mlam_par::DEFAULT_CHUNK, |_, chunk| {
             let mut constant = 0.0;
             let mut degree_one = vec![0.0; n];
-            for (x, y) in chunk {
+            for e in chunk {
+                let (x, y) = e.borrow();
+                assert!(x.len() >= n, "example shorter than {n} bits");
                 let fx = crate::to_pm(*y);
                 constant += fx;
-                for (i, d) in degree_one.iter_mut().enumerate() {
-                    *d += fx * x.pm(i);
-                }
+                signed_add(fx, &mut degree_one, x.words());
             }
             (constant, degree_one)
         });

@@ -10,17 +10,24 @@
 //!   degree-≤1 Fourier weight `W₁ = f̂(∅)² + Σᵢ f̂({i})²`, which is
 //!   `≥ 2/π − O(ε)` for every function ε-close to a halfspace but small
 //!   for functions far from all of them;
-//! - a **distance estimator**: the disagreement of `f` with the best
-//!   halfspace found by Chow reconstruction plus a pocket-perceptron
-//!   polish — an upper bound on the true distance, which is what a
-//!   practical tester (the paper's MATLAB code) reports;
+//! - a **distance estimator**: the held-out disagreement of `f` with a
+//!   candidate halfspace built by Chow reconstruction plus a
+//!   [`pocket_perceptron`] polish on a fitting split — an estimate of
+//!   an upper bound on the true distance, which is what a practical
+//!   tester (the paper's MATLAB code) reports;
 //! - [`HalfspaceTester`], bundling both into an accept/reject verdict at
-//!   chosen `(ε, δ)`.
+//!   chosen `(ε, δ)`, averaged over several random fit/hold-out splits.
+//!
+//! Every margin on this path — pocket training and error counts, the
+//! held-out disagreement, the Chow sums — is computed on the packed
+//! challenge words with the sign kernels of [`crate::bits`], bit for bit
+//! the same as the scalar `Σ w_i·x.pm(i)` loops.
 
-use crate::bits::BitVec;
+use crate::bits::{signed_add, signed_dot, signed_dot4, BitVec};
 use crate::ltf::{ChowParameters, LinearThreshold};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// Universal level-1 weight of halfspaces: any unbiased LTF has
 /// `Σᵢ f̂({i})² ≥ 2/π` asymptotically (majority is the extremal case);
@@ -162,13 +169,11 @@ impl HalfspaceTester {
             let held = if held.is_empty() { fit } else { held };
 
             // 1. Chow statistic on the fitting split.
-            let fit_owned: Vec<(BitVec, bool)> = fit.iter().map(|(x, y)| (x.clone(), *y)).collect();
-            let chow = ChowParameters::from_data(n, &fit_owned);
+            let chow = ChowParameters::from_examples(n, fit);
             w1_sum += chow.level_one_weight();
 
             // 2. Candidate halfspace: Chow LTF + pocket-perceptron polish.
-            let candidate =
-                pocket_perceptron(n, &fit_owned, Some(chow.to_ltf()), self.polish_epochs);
+            let candidate = pocket_fit(n, fit, Some(chow.to_ltf()), self.polish_epochs);
 
             // 3. Distance = held-out disagreement of the candidate.
             distance_sum += disagreement(&candidate, held);
@@ -198,25 +203,68 @@ impl HalfspaceTester {
 
 /// Fraction of `data` on which `ltf` disagrees with the labels.
 fn disagreement(ltf: &LinearThreshold, data: &[&(BitVec, bool)]) -> f64 {
-    let wrong = data
-        .iter()
-        .filter(|(x, y)| crate::function::BooleanFunction::eval(ltf, x) != *y)
-        .count();
-    wrong as f64 / data.len() as f64
+    errors(data, ltf.weights(), ltf.threshold()) as f64 / data.len() as f64
+}
+
+/// Number of examples on which `sgn(w·x − θ)` disagrees with the label,
+/// with the margin `<= 0` read as logic 1 ([`crate::to_bool`]) exactly
+/// as [`LinearThreshold`] evaluates it. `w` is fixed for the whole
+/// pass, so rows are scored four at a time with [`signed_dot4`].
+fn errors<E: Borrow<(BitVec, bool)>>(data: &[E], w: &[f64], theta: f64) -> usize {
+    let wrong = |s: f64, e: &E| usize::from(crate::to_bool(s) != e.borrow().1);
+    let mut quads = data.chunks_exact(4);
+    let mut count = 0;
+    for q in &mut quads {
+        let s = signed_dot4(-theta, w, [0, 1, 2, 3].map(|k| q[k].borrow().0.words()));
+        count += s.iter().zip(q).map(|(&s, e)| wrong(s, e)).sum::<usize>();
+    }
+    for e in quads.remainder() {
+        count += wrong(signed_dot(-theta, w, e.borrow().0.words()), e);
+    }
+    count
 }
 
 /// Pocket perceptron: runs perceptron updates over the sample, keeping
-/// the best weight vector ("pocket") seen by training error. Used here
-/// only to *construct a candidate halfspace*; the full-featured learner
-/// lives in `mlam-learn`.
+/// the best weight vector ("pocket") seen by training error. The
+/// halfspace tester uses it to *construct a candidate halfspace*; the
+/// feature-map learners live in `mlam-learn`.
 ///
-/// `init` optionally seeds the weights (e.g. from Chow parameters).
+/// The score of an example is `w·x − θ`, accumulated from `−θ` in input
+/// order on the packed challenge bits ([`signed_dot`]); a score `<= 0`
+/// predicts logic 1, so ties at exactly zero (common with integer
+/// weights from a zero start) count as a prediction of 1. A mistake
+/// adds `t·x` to `w` and subtracts `t` from `θ`, where `t` is the ±1
+/// label. After the initial weights and after every epoch the training
+/// error is recounted, and the pocket keeps the first weights reaching
+/// each new minimum. Training stops after `epochs` epochs, at zero
+/// pocket error, or after an epoch without a mistake.
+///
+/// `init` optionally seeds the weights (e.g. from Chow parameters); it
+/// is truncated or zero-padded to `n` weights.
+///
+/// # Panics
+///
+/// Panics if an example is shorter than `n` bits.
 pub fn pocket_perceptron(
     n: usize,
     data: &[(BitVec, bool)],
     init: Option<LinearThreshold>,
     epochs: usize,
 ) -> LinearThreshold {
+    pocket_fit(n, data, init, epochs)
+}
+
+/// [`pocket_perceptron`] over owned or borrowed examples, so the tester
+/// can fit a shuffled split without cloning the vectors.
+fn pocket_fit<E: Borrow<(BitVec, bool)>>(
+    n: usize,
+    data: &[E],
+    init: Option<LinearThreshold>,
+    epochs: usize,
+) -> LinearThreshold {
+    for e in data {
+        assert!(e.borrow().0.len() >= n, "example shorter than {n} bits");
+    }
     let (mut w, mut theta) = match init {
         Some(ltf) => {
             let mut w = ltf.weights().to_vec();
@@ -227,45 +275,20 @@ pub fn pocket_perceptron(
     };
     let mut best_w = w.clone();
     let mut best_theta = theta;
-    let mut best_err = usize::MAX;
-
-    let err_of = |w: &[f64], theta: f64| -> usize {
-        data.iter()
-            .filter(|(x, y)| {
-                let mut s = -theta;
-                for (i, wi) in w.iter().enumerate() {
-                    s += wi * x.pm(i);
-                }
-                crate::to_bool(s) != *y
-            })
-            .count()
-    };
-
-    let initial_err = err_of(&w, theta);
-    if initial_err < best_err {
-        best_err = initial_err;
-        best_w = w.clone();
-        best_theta = theta;
-    }
+    let mut best_err = errors(data, &w, theta);
 
     for _ in 0..epochs {
         let mut updated = false;
-        for (x, y) in data {
-            let target = crate::to_pm(*y);
-            let mut s = -theta;
-            for (i, wi) in w.iter().enumerate() {
-                s += wi * x.pm(i);
-            }
-            let predicted = if s <= 0.0 { -1.0 } else { 1.0 };
-            if predicted != target {
-                for (i, wi) in w.iter_mut().enumerate() {
-                    *wi += target * x.pm(i);
-                }
+        for e in data {
+            let (x, y) = e.borrow();
+            if crate::to_bool(signed_dot(-theta, &w, x.words())) != *y {
+                let target = crate::to_pm(*y);
+                signed_add(target, &mut w, x.words());
                 theta -= target;
                 updated = true;
             }
         }
-        let err = err_of(&w, theta);
+        let err = errors(data, &w, theta);
         if err < best_err {
             best_err = err;
             best_w = w.clone();
@@ -283,7 +306,7 @@ mod tests {
     use super::*;
     use crate::function::{BooleanFunction, FnFunction};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample<F: BooleanFunction>(f: &F, m: usize, rng: &mut StdRng) -> Vec<(BitVec, bool)> {
         (0..m)
@@ -379,5 +402,260 @@ mod tests {
     fn empty_sample_panics() {
         let mut rng = StdRng::seed_from_u64(7);
         HalfspaceTester::new(0.1, 0.9).run(4, &[], &mut rng);
+    }
+
+    /// The scalar, one-bit-at-a-time bodies the packed kernels replaced,
+    /// kept as references for the bit-identity tests below.
+    mod reference {
+        use super::*;
+
+        pub fn margin(ltf: &LinearThreshold, x: &BitVec) -> f64 {
+            let mut s = -ltf.threshold();
+            for (i, w) in ltf.weights().iter().enumerate() {
+                s += w * x.pm(i);
+            }
+            s
+        }
+
+        pub fn chow_from_data(n: usize, data: &[(BitVec, bool)]) -> ChowParameters {
+            let partials = mlam_par::par_chunk_map(data, mlam_par::DEFAULT_CHUNK, |_, chunk| {
+                let mut constant = 0.0;
+                let mut degree_one = vec![0.0; n];
+                for (x, y) in chunk {
+                    let fx = crate::to_pm(*y);
+                    constant += fx;
+                    for (i, d) in degree_one.iter_mut().enumerate() {
+                        *d += fx * x.pm(i);
+                    }
+                }
+                (constant, degree_one)
+            });
+            let mut constant = 0.0;
+            let mut degree_one = vec![0.0; n];
+            for (c, d) in partials {
+                constant += c;
+                for (acc, p) in degree_one.iter_mut().zip(d) {
+                    *acc += p;
+                }
+            }
+            let scale = 1.0 / data.len() as f64;
+            constant *= scale;
+            for d in &mut degree_one {
+                *d *= scale;
+            }
+            ChowParameters {
+                constant,
+                degree_one,
+            }
+        }
+
+        pub fn pocket_perceptron(
+            n: usize,
+            data: &[(BitVec, bool)],
+            init: Option<LinearThreshold>,
+            epochs: usize,
+        ) -> LinearThreshold {
+            let (mut w, mut theta) = match init {
+                Some(ltf) => {
+                    let mut w = ltf.weights().to_vec();
+                    w.resize(n, 0.0);
+                    (w, ltf.threshold())
+                }
+                None => (vec![0.0; n], 0.0),
+            };
+            let mut best_w = w.clone();
+            let mut best_theta = theta;
+            let mut best_err = usize::MAX;
+
+            let err_of = |w: &[f64], theta: f64| -> usize {
+                data.iter()
+                    .filter(|(x, y)| {
+                        let mut s = -theta;
+                        for (i, wi) in w.iter().enumerate() {
+                            s += wi * x.pm(i);
+                        }
+                        crate::to_bool(s) != *y
+                    })
+                    .count()
+            };
+
+            let initial_err = err_of(&w, theta);
+            if initial_err < best_err {
+                best_err = initial_err;
+                best_w = w.clone();
+                best_theta = theta;
+            }
+
+            for _ in 0..epochs {
+                let mut updated = false;
+                for (x, y) in data {
+                    let target = crate::to_pm(*y);
+                    let mut s = -theta;
+                    for (i, wi) in w.iter().enumerate() {
+                        s += wi * x.pm(i);
+                    }
+                    let predicted = if s <= 0.0 { -1.0 } else { 1.0 };
+                    if predicted != target {
+                        for (i, wi) in w.iter_mut().enumerate() {
+                            *wi += target * x.pm(i);
+                        }
+                        theta -= target;
+                        updated = true;
+                    }
+                }
+                let err = err_of(&w, theta);
+                if err < best_err {
+                    best_err = err;
+                    best_w = w.clone();
+                    best_theta = theta;
+                }
+                if best_err == 0 || !updated {
+                    break;
+                }
+            }
+            LinearThreshold::new(best_w, best_theta)
+        }
+
+        /// `HalfspaceTester::run` as it was: cloned fitting split, scalar
+        /// Chow, scalar pocket, scalar held-out margins.
+        pub fn run<R: Rng + ?Sized>(
+            tester: &HalfspaceTester,
+            n: usize,
+            data: &[(BitVec, bool)],
+            rng: &mut R,
+        ) -> TesterReport {
+            let mut w1_sum = 0.0;
+            let mut distance_sum = 0.0;
+            for _ in 0..tester.splits {
+                let mut shuffled: Vec<&(BitVec, bool)> = data.iter().collect();
+                shuffled.shuffle(rng);
+                let fit_len = ((shuffled.len() * 7) / 10).max(1);
+                let (fit, held) = shuffled.split_at(fit_len);
+                let held = if held.is_empty() { fit } else { held };
+                let fit_owned: Vec<(BitVec, bool)> =
+                    fit.iter().map(|(x, y)| (x.clone(), *y)).collect();
+                let chow = chow_from_data(n, &fit_owned);
+                w1_sum += chow.level_one_weight();
+                let candidate =
+                    pocket_perceptron(n, &fit_owned, Some(chow.to_ltf()), tester.polish_epochs);
+                let wrong = held
+                    .iter()
+                    .filter(|(x, y)| crate::to_bool(margin(&candidate, x)) != *y)
+                    .count();
+                distance_sum += wrong as f64 / held.len() as f64;
+            }
+            let w1 = w1_sum / tester.splits as f64;
+            let distance = distance_sum / tester.splits as f64;
+            let verdict = if distance <= tester.eps
+                || w1 >= HALFSPACE_LEVEL_ONE_FLOOR * (1.0 - 4.0 * tester.eps)
+            {
+                Verdict::Halfspace
+            } else {
+                Verdict::FarFromHalfspace
+            };
+            TesterReport {
+                level_one_weight: w1,
+                distance_estimate: distance,
+                verdict,
+                examples_used: data.len(),
+            }
+        }
+    }
+
+    /// Input lengths around the 64-bit word boundaries, sample sizes off
+    /// a multiple of 4, and three labelings: a random LTF, the same LTF
+    /// with integer weights (exact-zero margins), and parity
+    /// (non-separable, so the pocket runs every epoch).
+    fn kernel_cases() -> Vec<(usize, Vec<(BitVec, bool)>)> {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut cases = Vec::new();
+        for n in [1usize, 5, 63, 64, 65, 130] {
+            for m in [1usize, 3, 6, 101] {
+                let ltf = LinearThreshold::random(n, &mut rng);
+                let ints = LinearThreshold::new(
+                    (0..n).map(|_| rng.gen_range(-2..=2) as f64).collect(),
+                    0.0,
+                );
+                let parity = FnFunction::new(n, |x: &BitVec| x.count_ones() % 2 == 1);
+                cases.push((n, sample(&ltf, m, &mut rng)));
+                cases.push((n, sample(&ints, m, &mut rng)));
+                cases.push((n, sample(&parity, m, &mut rng)));
+            }
+        }
+        cases
+    }
+
+    fn assert_same_ltf(a: &LinearThreshold, b: &LinearThreshold, what: &str) {
+        let bits =
+            |l: &LinearThreshold| l.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: weights");
+        assert_eq!(
+            a.threshold().to_bits(),
+            b.threshold().to_bits(),
+            "{what}: threshold"
+        );
+    }
+
+    #[test]
+    fn packed_margin_is_bit_identical_to_scalar() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (n, data) in kernel_cases() {
+            let real = LinearThreshold::random(n, &mut rng);
+            let ints = LinearThreshold::new(
+                (0..n).map(|_| rng.gen_range(-2..=2) as f64).collect(),
+                rng.gen_range(-1..=1) as f64,
+            );
+            for ltf in [&real, &ints] {
+                for (x, _) in &data {
+                    let (fast, slow) = (ltf.margin(x), reference::margin(ltf, x));
+                    assert_eq!(fast.to_bits(), slow.to_bits(), "n {n} x {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_chow_is_bit_identical_to_scalar() {
+        for (n, data) in kernel_cases() {
+            let fast = ChowParameters::from_data(n, &data);
+            let slow = reference::chow_from_data(n, &data);
+            assert_eq!(fast.constant.to_bits(), slow.constant.to_bits(), "n {n}");
+            let bits =
+                |c: &ChowParameters| c.degree_one.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "n {n} m {}", data.len());
+        }
+    }
+
+    #[test]
+    fn packed_pocket_is_bit_identical_to_scalar() {
+        for (n, data) in kernel_cases() {
+            let what = format!("n {n} m {}", data.len());
+            let zero = pocket_perceptron(n, &data, None, 25);
+            assert_same_ltf(
+                &zero,
+                &reference::pocket_perceptron(n, &data, None, 25),
+                &what,
+            );
+            let chow = ChowParameters::from_data(n, &data).to_ltf();
+            let fast = pocket_perceptron(n, &data, Some(chow.clone()), 25);
+            let slow = reference::pocket_perceptron(n, &data, Some(chow), 25);
+            assert_same_ltf(&fast, &slow, &what);
+        }
+    }
+
+    #[test]
+    fn packed_tester_report_is_bit_identical_to_scalar() {
+        let tester = HalfspaceTester::new(0.1, 0.95).with_polish_epochs(10);
+        for (i, (n, data)) in kernel_cases().into_iter().enumerate() {
+            let fast = tester.run(n, &data, &mut StdRng::seed_from_u64(i as u64));
+            let slow = reference::run(&tester, n, &data, &mut StdRng::seed_from_u64(i as u64));
+            let what = format!("n {n} m {}", data.len());
+            let w1 = |r: &TesterReport| r.level_one_weight.to_bits();
+            let distance = |r: &TesterReport| r.distance_estimate.to_bits();
+            assert_eq!(w1(&fast), w1(&slow), "{what}");
+            assert_eq!(distance(&fast), distance(&slow), "{what}");
+            assert_eq!(fast.verdict, slow.verdict, "{what}");
+            assert_eq!(fast.examples_used, slow.examples_used, "{what}");
+        }
     }
 }

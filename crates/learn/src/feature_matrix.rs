@@ -25,14 +25,8 @@
 
 use crate::dataset::LabeledSet;
 use crate::features::FeatureMap;
+use mlam_boolean::bits::{signed_add, signed_dot, signed_dot4};
 use mlam_boolean::to_pm;
-
-/// Flips the sign of `w` when `bit` is 1 — the IEEE-exact equivalent of
-/// `w * (if bit == 1 { -1.0 } else { 1.0 })`.
-#[inline(always)]
-fn sign_select(w: f64, bit: u64) -> f64 {
-    f64::from_bits(w.to_bits() ^ (bit << 63))
-}
 
 /// Row-major feature storage: packed sign bits or dense values.
 #[derive(Clone, Debug)]
@@ -162,14 +156,11 @@ impl FeatureMatrix {
             Storage::Signs {
                 words_per_row,
                 words,
-            } => {
-                let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                let mut s = 0.0f64;
-                for (j, &wj) in w.iter().enumerate() {
-                    s += sign_select(wj, (signs[j / 64] >> (j % 64)) & 1);
-                }
-                s
-            }
+            } => signed_dot(
+                0.0,
+                w,
+                &words[row * words_per_row..(row + 1) * words_per_row],
+            ),
             Storage::Dense { values } => {
                 let f = &values[row * self.dim..(row + 1) * self.dim];
                 let mut s = 0.0f64;
@@ -195,10 +186,7 @@ impl FeatureMatrix {
                 words_per_row,
                 words,
             } => {
-                let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                for (j, wj) in w.iter_mut().enumerate() {
-                    *wj += sign_select(t, (signs[j / 64] >> (j % 64)) & 1);
-                }
+                signed_add(t, w, &words[row * words_per_row..(row + 1) * words_per_row]);
             }
             Storage::Dense { values } => {
                 let f = &values[row * self.dim..(row + 1) * self.dim];
@@ -224,11 +212,10 @@ impl FeatureMatrix {
                 words_per_row,
                 words,
             } => {
+                // `g - v` is IEEE `g + (-v)`, so subtracting `±c` is
+                // adding `±(-c)` bit for bit.
                 let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                let c = t * sigma;
-                for (j, gj) in g.iter_mut().enumerate() {
-                    *gj -= sign_select(c, (signs[j / 64] >> (j % 64)) & 1);
-                }
+                signed_add(-(t * sigma), g, signs);
             }
             Storage::Dense { values } => {
                 let f = &values[row * self.dim..(row + 1) * self.dim];
@@ -240,11 +227,36 @@ impl FeatureMatrix {
     }
 
     /// Number of examples `w` misclassifies (`score · label ≤ 0`), the
-    /// Perceptron's pocket criterion.
+    /// Perceptron's pocket criterion. Packed rows are scored four at a
+    /// time ([`signed_dot4`]), each bit-identical to [`FeatureMatrix::dot`].
     pub fn error_count(&self, w: &[f64]) -> usize {
-        (0..self.examples)
-            .filter(|&row| self.dot(row, w) * self.labels[row] <= 0.0)
-            .count()
+        let wrong = |row: usize, s: f64| usize::from(s * self.labels[row] <= 0.0);
+        match &self.storage {
+            Storage::Signs {
+                words_per_row,
+                words,
+            } => {
+                assert_eq!(w.len(), self.dim, "weight dimension mismatch");
+                let wpr = *words_per_row;
+                let quads = self.examples / 4;
+                let mut count = 0;
+                for q in 0..quads {
+                    let rows = [0, 1, 2, 3].map(|k| {
+                        let row = 4 * q + k;
+                        &words[row * wpr..(row + 1) * wpr]
+                    });
+                    let s = signed_dot4(0.0, w, rows);
+                    count += (0..4).map(|k| wrong(4 * q + k, s[k])).sum::<usize>();
+                }
+                count
+                    + (4 * quads..self.examples)
+                        .map(|row| wrong(row, self.dot(row, w)))
+                        .sum::<usize>()
+            }
+            Storage::Dense { .. } => (0..self.examples)
+                .map(|row| wrong(row, self.dot(row, w)))
+                .sum(),
+        }
     }
 }
 
@@ -404,19 +416,30 @@ mod tests {
     #[test]
     fn error_count_matches_scalar_filter() {
         let mut rng = StdRng::seed_from_u64(5);
-        let data = sample_set(12, 70, 6);
-        let map = PlusMinusFeatures::new(12);
-        let fm = FeatureMatrix::build(&map, &data);
-        let w = random_weights(fm.dimension(), &mut rng);
-        let scalar = data
-            .pairs()
-            .iter()
-            .filter(|(x, y)| {
-                let s: f64 = map.features(x).iter().zip(&w).map(|(f, w)| f * w).sum();
-                s * to_pm(*y) <= 0.0
-            })
-            .count();
-        assert_eq!(fm.error_count(&w), scalar);
+        // Example counts off a multiple of 4 exercise the remainder rows
+        // after the 4-row kernel; 63/64 inputs put the bias feature on
+        // either side of a word boundary; integer weights make exact-zero
+        // scores, which count as errors.
+        for (n, m) in [(12usize, 70usize), (12, 71), (12, 3), (63, 69), (64, 67)] {
+            let data = sample_set(n, m, 6 + n as u64);
+            let map = PlusMinusFeatures::new(n);
+            let fm = FeatureMatrix::build(&map, &data);
+            let real = random_weights(fm.dimension(), &mut rng);
+            let ints: Vec<f64> = (0..fm.dimension())
+                .map(|_| rng.gen_range(-1..=1) as f64)
+                .collect();
+            for w in [real, ints, vec![0.0; fm.dimension()]] {
+                let scalar = data
+                    .pairs()
+                    .iter()
+                    .filter(|(x, y)| {
+                        let s: f64 = map.features(x).iter().zip(&w).map(|(f, w)| f * w).sum();
+                        s * to_pm(*y) <= 0.0
+                    })
+                    .count();
+                assert_eq!(fm.error_count(&w), scalar, "n {n} m {m}");
+            }
+        }
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl Solver {
         result
     }
 
-    /// Alias of [`solve_assuming`](Solver::solve_assuming), kept for
-    /// the pre-incremental API spelling.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_assuming(assumptions)
-    }
-
     fn search(&mut self, assumptions: &[Lit]) -> SatResult {
         if self.unsat {
             return SatResult::Unsat;
@@ -153,14 +147,14 @@ impl Solver {
                         Some(true) => {
                             // Already satisfied: open a level anyway to
                             // keep the level/assumption indexing aligned.
-                            self.trail_lim.push(self.trail.len());
+                            self.new_decision_level();
                         }
                         Some(false) => {
                             self.cancel_until(0);
                             return SatResult::Unsat;
                         }
                         None => {
-                            self.trail_lim.push(self.trail.len());
+                            self.new_decision_level();
                             self.stats.decisions += 1;
                             let ok = self.enqueue(a, NO_REASON);
                             debug_assert!(ok);
@@ -178,7 +172,7 @@ impl Solver {
                         return SatResult::Sat(model);
                     }
                     Some(lit) => {
-                        self.trail_lim.push(self.trail.len());
+                        self.new_decision_level();
                         self.stats.decisions += 1;
                         let ok = self.enqueue(lit, NO_REASON);
                         debug_assert!(ok);

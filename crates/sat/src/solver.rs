@@ -52,7 +52,10 @@ pub struct Solver {
     pub(crate) stats: SolverStats,
     /// Scratch for conflict analysis.
     pub(crate) seen: Vec<bool>,
-    /// Scratch for LBD computation: stamp per decision level.
+    /// Scratch for LBD computation: stamp per decision level, slot
+    /// `level - 1`. Grown by [`Solver::new_decision_level`]: every
+    /// assumption opens a level, even a satisfied or repeated one, so
+    /// the level count is not bounded by the variable count.
     pub(crate) level_stamp: Vec<u64>,
     pub(crate) stamp: u64,
 }
@@ -86,7 +89,6 @@ impl Solver {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.seen.push(false);
-        self.level_stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.vsids.new_var();
@@ -175,5 +177,14 @@ impl Solver {
     #[inline]
     pub(crate) fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
+    }
+
+    /// Opens a new decision level at the current end of the trail.
+    #[inline]
+    pub(crate) fn new_decision_level(&mut self) {
+        self.trail_lim.push(self.trail.len());
+        if self.level_stamp.len() < self.trail_lim.len() {
+            self.level_stamp.push(0);
+        }
     }
 }

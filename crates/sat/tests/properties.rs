@@ -16,6 +16,17 @@ fn cnf_strategy() -> impl Strategy<Value = (usize, Vec<Vec<i32>>)> {
     })
 }
 
+/// Strategy: a random 3-CNF over `n` variables at 4–5 clauses per
+/// variable, near the satisfiability threshold, so the solver has to
+/// search and conflicts happen deep in the decision stack.
+fn hard_cnf_strategy() -> impl Strategy<Value = (usize, Vec<Vec<i32>>)> {
+    (3usize..=9).prop_flat_map(|n| {
+        let lit = (1..=n as i32, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v });
+        let clauses = prop::collection::vec(prop::collection::vec(lit, 3), n * 4..=n * 5);
+        (Just(n), clauses)
+    })
+}
+
 fn brute_force_sat(num_vars: usize, clauses: &[Vec<i32>]) -> bool {
     'outer: for mask in 0u64..(1 << num_vars) {
         for clause in clauses {
@@ -86,7 +97,7 @@ proptest! {
             s.add_clause(&lits);
         }
         let assumption = Lit::new(vars[(a - 1).min(n - 1)], neg);
-        let _ = s.solve_with_assumptions(&[assumption]);
+        let _ = s.solve_assuming(&[assumption]);
         prop_assert_eq!(s.solve().is_sat(), expected);
     }
 
@@ -104,7 +115,7 @@ proptest! {
         }
         let v = vars[idx % n];
         let assumption = Lit::new(v, neg);
-        if let SatResult::Sat(model) = s.solve_with_assumptions(&[assumption]) {
+        if let SatResult::Sat(model) = s.solve_assuming(&[assumption]) {
             prop_assert_eq!(model.value(v), !neg);
         }
     }
@@ -160,47 +171,69 @@ proptest! {
         }
     }
 
-    /// `solve_assuming` over random assumption subsets agrees with
-    /// brute force on the clause set extended by the assumption units,
-    /// on a solver warmed by unrelated earlier calls — what the DIP
-    /// loop does with key constraints.
+    /// `solve_assuming` over random assumption lists agrees with brute
+    /// force on the clause set extended by the assumption units, on a
+    /// solver warmed by unrelated earlier calls — what the DIP loop does
+    /// with key constraints. Half the instances are near-threshold
+    /// 3-CNFs. Lists are not deduplicated, so they carry
+    /// repeated literals and complementary pairs, and one literal is
+    /// fixed at the root by a unit clause before it may be assumed
+    /// again, negated, or twice.
     #[test]
     fn assumption_subsets_agree_with_brute_force(
-        (n, clauses) in cnf_strategy(),
-        raw in prop::collection::vec((0usize..9, any::<bool>()), 0..=3),
+        (easy, hard, use_hard) in (cnf_strategy(), hard_cnf_strategy(), any::<bool>()),
+        raw in prop::collection::vec((0usize..9, any::<bool>()), 0..=6),
+        repeat in 0usize..10,
+        (root_idx, root_neg, root_use) in (0usize..9, any::<bool>(), 0usize..4),
     ) {
+        let (n, mut clauses) = if use_hard { hard } else { easy };
+        let root = (root_idx % n + 1) as i32 * if root_neg { -1 } else { 1 };
+        if root_use > 0 {
+            clauses.push(vec![root]);
+        }
         let mut s = Solver::new();
         let vars = s.new_vars(n);
+        let to_lit = |l: i32| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0);
         for clause in &clauses {
-            let lits: Vec<Lit> = clause
-                .iter()
-                .map(|&l| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0))
-                .collect();
+            let lits: Vec<Lit> = clause.iter().map(|&l| to_lit(l)).collect();
             s.add_clause(&lits);
         }
         // Warm-up solves so later assumption calls run on a solver
         // carrying learnt clauses and saved phases.
         let _ = s.solve();
         let _ = s.solve_assuming(&[Lit::pos(vars[0])]);
-        // Deduplicate by variable so the assumption set is consistent
-        // with itself (contradictory pairs are separately covered by
-        // unit tests).
-        let mut assumptions: Vec<Lit> = Vec::new();
-        let mut ints: Vec<i32> = Vec::new();
-        for (idx, neg) in raw {
-            let v = idx % n;
-            if ints.iter().any(|&a| a.unsigned_abs() as usize == v + 1) {
-                continue;
-            }
-            assumptions.push(Lit::new(vars[v], neg));
-            ints.push(if neg { -((v + 1) as i32) } else { (v + 1) as i32 });
+        let mut ints: Vec<i32> = raw
+            .iter()
+            .map(|&(idx, neg)| (idx % n + 1) as i32 * if neg { -1 } else { 1 })
+            .collect();
+        // Repeat the first literal, so the assumptions after it sit on
+        // decision levels past the variable count.
+        if let Some(&first) = ints.first() {
+            ints.splice(0..0, std::iter::repeat_n(first, repeat));
         }
+        // Root-implied literal: assumed as is, negated, or twice.
+        let at = root_idx % (ints.len() + 1);
+        match root_use {
+            1 => ints.insert(at, root),
+            2 => ints.insert(at, -root),
+            3 => {
+                ints.splice(at..at, [root, root]);
+            }
+            _ => {}
+        }
+        let assumptions: Vec<Lit> = ints.iter().map(|&l| to_lit(l)).collect();
         let expected = brute_force_sat_assuming(n, &clauses, &ints);
         match s.solve_assuming(&assumptions) {
             SatResult::Sat(model) => {
                 prop_assert!(expected, "solver said SAT under {ints:?}, brute force UNSAT");
                 for &a in &assumptions {
                     prop_assert!(model.lit_value(a), "assumption {a} violated by model");
+                }
+                for clause in &clauses {
+                    prop_assert!(
+                        clause.iter().any(|&l| model.lit_value(to_lit(l))),
+                        "model violates {clause:?}"
+                    );
                 }
             }
             SatResult::Unsat => prop_assert!(!expected, "solver said UNSAT under {ints:?}, brute force SAT"),
@@ -220,6 +253,10 @@ fn scratch_duplicate_assumptions_level_overflow() {
     s.add_clause(&[Lit::pos(b), Lit::neg(c)]);
     s.add_clause(&[Lit::neg(b), Lit::pos(c)]);
     s.add_clause(&[Lit::neg(b), Lit::neg(c)]);
+    // Every assumption opens a decision level, even when it repeats one
+    // already satisfied, so the first branching decision lands on level
+    // 5 of a 3-variable instance; conflict analysis there must not index
+    // per-level scratch by the variable count.
     let r = s.solve_assuming(&[Lit::pos(a), Lit::pos(a), Lit::pos(a), Lit::pos(a)]);
-    println!("result sat: {:?}", r.is_sat());
+    assert_eq!(r, SatResult::Unsat);
 }
