@@ -15,7 +15,7 @@
 //! probe of the same instance that finds DIPs, so settlement rounds no
 //! longer pay for a separate key-consistency solver.
 
-use crate::combinational::LockedNetlist;
+use crate::combinational::{draw_lanes, LockedNetlist};
 use crate::dip::DipSolver;
 use mlam_boolean::BitVec;
 use mlam_netlist::Netlist;
@@ -79,6 +79,22 @@ pub fn appsat<R: Rng + ?Sized>(
     config: AppSatConfig,
     rng: &mut R,
 ) -> AppSatResult {
+    appsat_with(locked, oracle, config, rng, settlement_round)
+}
+
+/// One settlement round's wrong queries: `(input, oracle response)`
+/// pairs, in query order.
+type WrongQueries = Vec<(Vec<bool>, Vec<bool>)>;
+
+/// The AppSAT loop, with the settlement round's sampling passed in (the
+/// tests run it against the one-query-at-a-time reference).
+fn appsat_with<R: Rng + ?Sized>(
+    locked: &LockedNetlist,
+    oracle: &Netlist,
+    config: AppSatConfig,
+    rng: &mut R,
+    settle: fn(&LockedNetlist, &Netlist, &BitVec, usize, &mut R) -> WrongQueries,
+) -> AppSatResult {
     assert_eq!(oracle.num_inputs(), locked.num_primary_inputs());
     assert_eq!(oracle.num_outputs(), locked.netlist().num_outputs());
 
@@ -130,27 +146,13 @@ pub fn appsat<R: Rng + ?Sized>(
         // Phase 2: random queries + settlement test on the current key
         // candidate (an assumption-mode probe of the same solver).
         let key = dip_solver.extract_key();
-        let mut errors = 0usize;
-        let mut round_queries: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-        for _ in 0..config.queries_per_round {
-            let x: Vec<bool> = (0..locked.num_primary_inputs())
-                .map(|_| rng.gen())
-                .collect();
-            let response = oracle.simulate(&x);
-            random_queries += 1;
-            // Metered per query so mid-run curve checkpoints account
-            // for settlement traffic exactly (the total is unchanged).
-            mlam_telemetry::counter!("locking.appsat.random_queries", 1);
-            if locked.simulate(&x, &key) != response {
-                errors += 1;
-                // Reinforce: wrong queries become constraints.
-                round_queries.push((x, response));
-            }
-        }
+        let round_queries = settle(locked, oracle, &key, config.queries_per_round, rng);
+        random_queries += config.queries_per_round;
+        // Reinforce: wrong queries become constraints.
         for (x, response) in &round_queries {
             dip_solver.constrain(x, response);
         }
-        let err_rate = errors as f64 / config.queries_per_round as f64;
+        let err_rate = round_queries.len() as f64 / config.queries_per_round as f64;
         if err_rate <= config.error_threshold {
             consecutive_settled += 1;
             if consecutive_settled >= config.settlement_rounds {
@@ -184,6 +186,47 @@ pub fn appsat<R: Rng + ?Sized>(
     }
 }
 
+/// Draws `queries` random patterns, asks the oracle, and returns those
+/// on which `key` is wrong. Every query is drawn (there is no early
+/// exit), so patterns are drawn in order and evaluated 64 per pass —
+/// the same draws and the same wrong queries, in the same order, as
+/// one pattern at a time. The `locking.appsat.random_queries` counter
+/// moves once per block; no curve checkpoint falls inside a round.
+fn settlement_round<R: Rng + ?Sized>(
+    locked: &LockedNetlist,
+    oracle: &Netlist,
+    key: &BitVec,
+    queries: usize,
+    rng: &mut R,
+) -> WrongQueries {
+    let np = locked.num_primary_inputs();
+    let mut words = locked.input_words(key);
+    let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+    let mut wrong = Vec::new();
+    let mut drawn = 0usize;
+    while drawn < queries {
+        let lanes = (queries - drawn).min(64);
+        let mask = draw_lanes(rng, lanes, &mut words[..np]);
+        oracle.simulate_words(&words[..np], &mut theirs);
+        locked.netlist().simulate_words(&words, &mut ours);
+        mlam_telemetry::counter!("locking.appsat.random_queries", lanes);
+        let mut diff = locked.netlist().output_diff(&ours, oracle, &theirs) & mask;
+        while diff != 0 {
+            let lane = diff.trailing_zeros();
+            diff &= diff - 1;
+            let x = words[..np].iter().map(|w| w >> lane & 1 == 1).collect();
+            let response = oracle
+                .outputs()
+                .iter()
+                .map(|o| theirs[o.index()] >> lane & 1 == 1)
+                .collect();
+            wrong.push((x, response));
+        }
+        drawn += lanes;
+    }
+    wrong
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +234,58 @@ mod tests {
     use mlam_netlist::generate::{c17, random_circuit, ripple_adder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The one-query-at-a-time settlement loop that
+    /// [`settlement_round`] replaced; the reference it must match.
+    fn settlement_round_scalar<R: Rng + ?Sized>(
+        locked: &LockedNetlist,
+        oracle: &Netlist,
+        key: &BitVec,
+        queries: usize,
+        rng: &mut R,
+    ) -> WrongQueries {
+        let mut wrong = Vec::new();
+        for _ in 0..queries {
+            let x: Vec<bool> = (0..locked.num_primary_inputs())
+                .map(|_| rng.gen())
+                .collect();
+            let response = oracle.simulate(&x);
+            if locked.simulate(&x, key) != response {
+                wrong.push((x, response));
+            }
+        }
+        wrong
+    }
+
+    #[test]
+    fn block_settlement_matches_the_scalar_reference() {
+        let mut gen = StdRng::seed_from_u64(17);
+        for case in 0..6u64 {
+            let oracle = random_circuit(6 + case as usize, 50, 2, &mut gen);
+            let locked = lock_xor(&oracle, 10, &mut gen);
+            for queries_per_round in [1, 32, 64, 100] {
+                let config = AppSatConfig {
+                    queries_per_round,
+                    ..AppSatConfig::default()
+                };
+                let mut a = StdRng::seed_from_u64(case * 131 + queries_per_round as u64);
+                let mut b = a.clone();
+                let fast = appsat(&locked, &oracle, config, &mut a);
+                let slow = appsat_with(&locked, &oracle, config, &mut b, settlement_round_scalar);
+                let what = format!("case {case}, {queries_per_round} queries per round");
+                assert_eq!(fast.key, slow.key, "{what}");
+                assert_eq!(fast.dip_iterations, slow.dip_iterations, "{what}");
+                assert_eq!(fast.random_queries, slow.random_queries, "{what}");
+                assert_eq!(
+                    fast.estimated_accuracy.to_bits(),
+                    slow.estimated_accuracy.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(fast.solver_stats, slow.solver_stats, "{what}");
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{what}: RNG state");
+            }
+        }
+    }
 
     #[test]
     fn reaches_high_accuracy_on_c17() {

@@ -2,7 +2,7 @@
 //! (EPIC-style random insertion).
 
 use mlam_boolean::{BitVec, BooleanFunction};
-use mlam_netlist::{GateKind, Net, Netlist};
+use mlam_netlist::{exhaustive_blocks, GateKind, Net, Netlist};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -99,22 +99,29 @@ impl LockedNetlist {
     }
 
     /// Checks functional equivalence with `original` under `key`,
-    /// exhaustively for small inputs.
+    /// exhaustively for small inputs, 64 patterns per evaluation (see
+    /// [`exhaustive_blocks`]).
     ///
     /// # Panics
     ///
-    /// Panics if `num_primary > 20`; use
+    /// Panics on shape or key-width mismatches and if
+    /// `num_primary > 20`; use
     /// [`equivalent_under_key_formal`](Self::equivalent_under_key_formal)
     /// for wider circuits.
     pub fn equivalent_under_key(&self, original: &Netlist, key: &BitVec) -> bool {
         assert!(self.num_primary <= 20, "exhaustive check limit");
-        for v in 0..(1u64 << self.num_primary) {
-            let bits: Vec<bool> = (0..self.num_primary).map(|i| v >> i & 1 == 1).collect();
-            if self.simulate(&bits, key) != original.simulate(&bits) {
-                return false;
-            }
-        }
-        true
+        assert_eq!(
+            original.num_outputs(),
+            self.netlist.num_outputs(),
+            "output count"
+        );
+        let np = self.num_primary;
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+        exhaustive_blocks(np, &self.input_words(key)[np..], |words, mask| {
+            self.netlist.simulate_words(words, &mut ours);
+            original.simulate_words(&words[..np], &mut theirs);
+            self.netlist.output_diff(&ours, original, &theirs) & mask == 0
+        })
     }
 
     /// Formal (BDD-based) functional-equivalence check with `original`
@@ -163,6 +170,11 @@ impl LockedNetlist {
     /// Estimates the accuracy of `key` against `original` on `samples`
     /// random inputs (for large circuits where the exhaustive check is
     /// infeasible).
+    ///
+    /// Draws `rng.gen::<bool>()` per primary input per sample, sample by
+    /// sample, and evaluates 64 samples per pass (sample `s` in lane
+    /// `s % 64`), so the estimate and the RNG state afterwards are those
+    /// of a one-sample-at-a-time loop.
     pub fn key_accuracy<R: Rng + ?Sized>(
         &self,
         original: &Netlist,
@@ -171,14 +183,55 @@ impl LockedNetlist {
         rng: &mut R,
     ) -> f64 {
         assert!(samples > 0);
+        let np = self.num_primary;
+        let mut words = self.input_words(key);
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
         let mut agree = 0usize;
-        for _ in 0..samples {
-            let bits: Vec<bool> = (0..self.num_primary).map(|_| rng.gen()).collect();
-            if self.simulate(&bits, key) == original.simulate(&bits) {
-                agree += 1;
-            }
+        let mut drawn = 0usize;
+        while drawn < samples {
+            let lanes = (samples - drawn).min(64);
+            let mask = draw_lanes(rng, lanes, &mut words[..np]);
+            self.netlist.simulate_words(&words, &mut ours);
+            original.simulate_words(&words[..np], &mut theirs);
+            let diff = self.netlist.output_diff(&ours, original, &theirs);
+            agree += (!diff & mask).count_ones() as usize;
+            drawn += lanes;
         }
         agree as f64 / samples as f64
+    }
+
+    /// Input words of the locked netlist for
+    /// [`Netlist::simulate_words`]: `num_primary` zero words to fill
+    /// with patterns, then each key bit broadcast to every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width mismatches.
+    pub(crate) fn input_words(&self, key: &BitVec) -> Vec<u64> {
+        assert_eq!(key.len(), self.num_key, "key width");
+        let mut words = vec![0u64; self.num_primary];
+        words.extend(key.iter().map(|b| 0u64.wrapping_sub(u64::from(b))));
+        words
+    }
+}
+
+/// Draws `lanes` (1–64) random patterns into `words`, pattern by
+/// pattern and one `rng.gen::<bool>()` per word within a pattern —
+/// the order of drawing one `Vec<bool>` per pattern. Pattern `j` goes
+/// to lane `j`; the other lanes are cleared. Returns the mask of drawn
+/// lanes.
+pub(crate) fn draw_lanes<R: Rng + ?Sized>(rng: &mut R, lanes: usize, words: &mut [u64]) -> u64 {
+    debug_assert!((1..=64).contains(&lanes));
+    words.fill(0);
+    for lane in 0..lanes {
+        for w in words.iter_mut() {
+            *w |= u64::from(rng.gen::<bool>()) << lane;
+        }
+    }
+    if lanes == 64 {
+        !0
+    } else {
+        (1u64 << lanes) - 1
     }
 }
 
@@ -309,6 +362,56 @@ mod tests {
         let locked = lock_xor(&orig, 8, &mut rng);
         let key = locked.correct_key().clone();
         assert_eq!(locked.key_accuracy(&orig, &key, 500, &mut rng), 1.0);
+    }
+
+    /// The one-sample-at-a-time estimate that
+    /// [`LockedNetlist::key_accuracy`] replaced; the reference it must
+    /// match bit for bit, RNG state included.
+    fn key_accuracy_scalar<R: Rng + ?Sized>(
+        locked: &LockedNetlist,
+        original: &Netlist,
+        key: &BitVec,
+        samples: usize,
+        rng: &mut R,
+    ) -> f64 {
+        assert!(samples > 0);
+        let mut agree = 0usize;
+        for _ in 0..samples {
+            let bits: Vec<bool> = (0..locked.num_primary).map(|_| rng.gen()).collect();
+            if locked.simulate(&bits, key) == original.simulate(&bits) {
+                agree += 1;
+            }
+        }
+        agree as f64 / samples as f64
+    }
+
+    #[test]
+    fn key_accuracy_matches_the_scalar_reference_bit_for_bit() {
+        let mut gen = StdRng::seed_from_u64(31);
+        for case in 0..12u64 {
+            let orig = random_circuit(3 + case as usize, 30, 1 + case as usize % 3, &mut gen);
+            let locked = lock_xor(&orig, 6, &mut gen);
+            let correct = locked.correct_key().clone();
+            let keys = [
+                correct.clone(),
+                correct.with_flipped(0),
+                BitVec::random(6, &mut gen),
+            ];
+            for key in &keys {
+                for samples in [1, 63, 64, 65, 2000] {
+                    let mut a = StdRng::seed_from_u64(case * 7919 + samples as u64);
+                    let mut b = a.clone();
+                    let fast = locked.key_accuracy(&orig, key, samples, &mut a);
+                    let slow = key_accuracy_scalar(&locked, &orig, key, samples, &mut b);
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "case {case}, {samples} samples"
+                    );
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG state after the call");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! incremental architecture here keeps **one** [`Solver`] alive for
 //! the whole attack:
 //!
+//! - the locked netlist is Tseitin-encoded once, and every circuit copy
+//!   below maps that template onto fresh solver variables;
 //! - the miter (two circuit copies with shared inputs, independent key
 //!   vectors) is encoded once; the "some output differs" clause is
 //!   gated by a selector literal, so the same instance answers both
@@ -30,7 +32,7 @@
 
 use crate::combinational::LockedNetlist;
 use mlam_boolean::BitVec;
-use mlam_netlist::{cnf::tseitin_encode, Cnf};
+use mlam_netlist::{cnf::tseitin_encode, Cnf, TseitinEncoding};
 use mlam_sat::{Lit, SatResult, Solver, SolverStats, Var};
 
 /// One persistent solver instance driving an oracle-guided attack.
@@ -45,6 +47,8 @@ use mlam_sat::{Lit, SatResult, Solver, SolverStats, Var};
 pub struct DipSolver<'a> {
     locked: &'a LockedNetlist,
     solver: Solver,
+    /// The locked netlist's encoding, mapped onto every circuit copy.
+    template: CopyTemplate,
     /// Shared primary inputs of the two miter copies.
     inputs: Vec<Var>,
     /// Key vector of miter copy A (also the one models are read from).
@@ -60,10 +64,13 @@ pub struct DipSolver<'a> {
 
 impl<'a> DipSolver<'a> {
     /// Encodes the miter for `locked` into a fresh persistent solver.
+    /// The netlist is Tseitin-encoded here, once; every later copy maps
+    /// that template onto fresh variables.
     pub fn new(locked: &'a LockedNetlist) -> DipSolver<'a> {
         let mut solver = Solver::new();
-        let (in_a, key_a, out_a) = encode_free_copy(locked, &mut solver);
-        let (in_b, key_b, out_b) = encode_free_copy(locked, &mut solver);
+        let mut template = CopyTemplate::new(locked);
+        let (in_a, key_a, out_a) = template.free_copy(&mut solver);
+        let (in_b, key_b, out_b) = template.free_copy(&mut solver);
         for (a, b) in in_a.iter().zip(&in_b) {
             solver.add_clause(&[Lit::pos(*a), Lit::neg(*b)]);
             solver.add_clause(&[Lit::neg(*a), Lit::pos(*b)]);
@@ -85,6 +92,7 @@ impl<'a> DipSolver<'a> {
         DipSolver {
             locked,
             solver,
+            template,
             inputs: in_a,
             key_a,
             key_b,
@@ -119,10 +127,10 @@ impl<'a> DipSolver<'a> {
             self.locked.netlist().num_outputs(),
             "response width"
         );
-        let key_a = self.key_a.clone();
-        let key_b = self.key_b.clone();
-        encode_pinned_copy(self.locked, &mut self.solver, &key_a, dip, response);
-        encode_pinned_copy(self.locked, &mut self.solver, &key_b, dip, response);
+        self.template
+            .pinned_copy(&mut self.solver, &self.key_a, dip, response);
+        self.template
+            .pinned_copy(&mut self.solver, &self.key_b, dip, response);
         self.dips += 1;
     }
 
@@ -266,77 +274,104 @@ impl<'a> OneShotDipSolver<'a> {
     }
 }
 
-/// Loads a freshly Tseitin-encoded CNF into `solver`; returns the map
-/// from CNF variable index (1-based) to solver variable.
-fn load_cnf(cnf: &Cnf, solver: &mut Solver) -> Vec<Var> {
-    let vars = solver.new_vars(cnf.num_vars);
-    for clause in &cnf.clauses {
-        let lits: Vec<Lit> = clause
+/// The locked netlist's Tseitin encoding, made once per attack and
+/// mapped onto fresh solver variables for every circuit copy (the
+/// miter's two free copies and each DIP's two pinned copies). Copies
+/// get the clauses in template order, so the solver sees exactly what
+/// a fresh `tseitin_encode` per copy would give it.
+#[derive(Debug)]
+pub(crate) struct CopyTemplate {
+    cnf: Cnf,
+    enc: TseitinEncoding,
+    num_primary: usize,
+    num_key: usize,
+    /// CNF variables of the outputs.
+    outputs: Vec<i32>,
+    /// Literal buffer reused across clauses.
+    lits: Vec<Lit>,
+}
+
+impl CopyTemplate {
+    /// Encodes `locked` once.
+    pub(crate) fn new(locked: &LockedNetlist) -> CopyTemplate {
+        let mut cnf = Cnf::new(0);
+        let enc = tseitin_encode(locked.netlist(), &mut cnf);
+        let outputs = enc.output_vars(locked.netlist());
+        CopyTemplate {
+            cnf,
+            enc,
+            num_primary: locked.num_primary_inputs(),
+            num_key: locked.num_key_bits(),
+            outputs,
+            lits: Vec::new(),
+        }
+    }
+
+    /// Loads one unconstrained copy into `solver`; returns
+    /// `(input_vars, key_vars, output_vars)`.
+    pub(crate) fn free_copy(&mut self, solver: &mut Solver) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
+        let vars = solver.new_vars(self.cnf.num_vars);
+        self.add_gate_clauses(solver, &vars);
+        let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
+        let (np, nk) = (self.num_primary, self.num_key);
+        let inputs = self.enc.vars[..np].iter().map(|&v| var_of(v)).collect();
+        let keys = self.enc.vars[np..np + nk]
             .iter()
-            .map(|&l| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0))
+            .map(|&v| var_of(v))
             .collect();
-        solver.add_clause(&lits);
+        let outputs = self.outputs.iter().map(|&v| var_of(v)).collect();
+        (inputs, keys, outputs)
     }
-    vars
-}
 
-/// Encodes one unconstrained copy of the locked netlist; returns
-/// `(input_vars, key_vars, output_vars)`.
-fn encode_free_copy(locked: &LockedNetlist, solver: &mut Solver) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
-    let mut cnf = Cnf::new(0);
-    let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let vars = load_cnf(&cnf, solver);
-    let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
-    let np = locked.num_primary_inputs();
-    let nk = locked.num_key_bits();
-    let inputs: Vec<Var> = (0..np).map(|i| var_of(enc.vars[i])).collect();
-    let keys: Vec<Var> = (0..nk).map(|i| var_of(enc.vars[np + i])).collect();
-    let outputs: Vec<Var> = locked
-        .netlist()
-        .outputs()
-        .iter()
-        .map(|o| var_of(enc.vars[o.index()]))
-        .collect();
-    (inputs, keys, outputs)
-}
+    /// Loads one copy with primary inputs pinned to `dip` and outputs
+    /// pinned to `response`, its key vector tied to `shared_keys`: the
+    /// constraint "the circuit under `shared_keys` maps `dip` to
+    /// `response`".
+    ///
+    /// The pin units go in *first*: `Solver::add_clause` drops clauses
+    /// already satisfied at the root and strips root-false literals, so
+    /// by the time the gate clauses arrive, everything the constants
+    /// decide has been folded away and only the key-dependent cone
+    /// survives.
+    pub(crate) fn pinned_copy(
+        &mut self,
+        solver: &mut Solver,
+        shared_keys: &[Var],
+        dip: &[bool],
+        response: &[bool],
+    ) {
+        let vars = solver.new_vars(self.cnf.num_vars);
+        let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
+        let np = self.num_primary;
+        for (&v, &b) in self.enc.vars[..np].iter().zip(dip) {
+            solver.add_clause(&[Lit::new(var_of(v), !b)]);
+        }
+        for (&v, &b) in self.outputs.iter().zip(response) {
+            solver.add_clause(&[Lit::new(var_of(v), !b)]);
+        }
+        // Tie the copy's key bits to the shared key vector before the
+        // gate clauses: root-level key units learned from earlier DIPs
+        // then propagate into this copy immediately.
+        for (&v, shared) in self.enc.vars[np..].iter().zip(shared_keys) {
+            let kv = var_of(v);
+            solver.add_clause(&[Lit::pos(kv), Lit::neg(*shared)]);
+            solver.add_clause(&[Lit::neg(kv), Lit::pos(*shared)]);
+        }
+        self.add_gate_clauses(solver, &vars);
+    }
 
-/// Encodes one circuit copy with primary inputs pinned to `dip` and
-/// outputs pinned to `response`, its key vector tied to `shared_keys`.
-///
-/// The pin units go in *first*: `Solver::add_clause` drops clauses
-/// already satisfied at the root and strips root-false literals, so by
-/// the time the gate clauses arrive, everything the constants decide
-/// has been folded away and only the key-dependent cone survives.
-fn encode_pinned_copy(
-    locked: &LockedNetlist,
-    solver: &mut Solver,
-    shared_keys: &[Var],
-    dip: &[bool],
-    response: &[bool],
-) {
-    let mut cnf = Cnf::new(0);
-    let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let vars = solver.new_vars(cnf.num_vars);
-    let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
-    let np = locked.num_primary_inputs();
-
-    for (i, &b) in dip.iter().enumerate() {
-        solver.add_clause(&[Lit::new(var_of(enc.vars[i]), !b)]);
-    }
-    for (o, &b) in locked.netlist().outputs().iter().zip(response) {
-        solver.add_clause(&[Lit::new(var_of(enc.vars[o.index()]), !b)]);
-    }
-    // Tie the copy's key bits to the shared key vector before the gate
-    // clauses: root-level key units learned from earlier DIPs then
-    // propagate into this copy immediately.
-    for (i, shared) in shared_keys.iter().enumerate() {
-        let kv = var_of(enc.vars[np + i]);
-        solver.add_clause(&[Lit::pos(kv), Lit::neg(*shared)]);
-        solver.add_clause(&[Lit::neg(kv), Lit::pos(*shared)]);
-    }
-    for clause in &cnf.clauses {
-        let lits: Vec<Lit> = clause.iter().map(|&l| Lit::new(var_of(l), l < 0)).collect();
-        solver.add_clause(&lits);
+    /// Adds the template's clauses over `vars` (CNF variable `i` is
+    /// `vars[i - 1]`).
+    fn add_gate_clauses(&mut self, solver: &mut Solver, vars: &[Var]) {
+        for clause in &self.cnf.clauses {
+            self.lits.clear();
+            self.lits.extend(
+                clause
+                    .iter()
+                    .map(|&l| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0)),
+            );
+            solver.add_clause(&self.lits);
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! same instance quantifies the paper's access-model axis.
 
 use crate::combinational::LockedNetlist;
-use crate::sat_attack::{add_io_constraint, encode_copy};
+use crate::dip::CopyTemplate;
 use mlam_boolean::BitVec;
 use mlam_netlist::Netlist;
 use mlam_sat::{SatResult, Solver};
@@ -71,7 +71,8 @@ pub fn pac_attack<R: Rng + ?Sized>(
     assert_eq!(oracle.num_outputs(), locked.netlist().num_outputs());
 
     let mut keysolver = Solver::new();
-    let (_i, keyvars, _o) = encode_copy(locked, &mut keysolver);
+    let mut template = CopyTemplate::new(locked);
+    let (_i, keyvars, _o) = template.free_copy(&mut keysolver);
     let mut examples_used = 0usize;
     let mut accepted = false;
     let mut key = BitVec::zeros(locked.num_key_bits());
@@ -83,7 +84,7 @@ pub fn pac_attack<R: Rng + ?Sized>(
                 .map(|_| rng.gen())
                 .collect();
             let response = oracle.simulate(&x);
-            add_io_constraint(locked, &mut keysolver, &keyvars, &x, &response);
+            template.pinned_copy(&mut keysolver, &keyvars, &x, &response);
             examples_used += 1;
         }
         // Any consistent key.
@@ -97,16 +98,19 @@ pub fn pac_attack<R: Rng + ?Sized>(
             }
             SatResult::Unsat => unreachable!("correct key always consistent"),
         };
-        // Simulated equivalence query.
+        // Simulated equivalence query. It stops at the first
+        // disagreement, so patterns are drawn and checked one at a time:
+        // drawing a 64-pattern block would consume randomness past the
+        // break and shift every later draw.
         let mut disagreed = false;
         for _ in 0..config.equivalence_budget {
             let x: Vec<bool> = (0..locked.num_primary_inputs())
                 .map(|_| rng.gen())
                 .collect();
-            if locked.simulate(&x, &key) != oracle.simulate(&x) {
+            let response = oracle.simulate(&x);
+            if locked.simulate(&x, &key) != response {
                 disagreed = true;
-                let response = oracle.simulate(&x);
-                add_io_constraint(locked, &mut keysolver, &keyvars, &x, &response);
+                template.pinned_copy(&mut keysolver, &keyvars, &x, &response);
                 examples_used += 1;
                 break;
             }

@@ -1,6 +1,7 @@
 //! Property-based tests for locking schemes and attacks.
 
 use mlam_locking::combinational::lock_xor;
+use mlam_locking::lock_sarlock;
 use mlam_locking::sat_attack::{sat_attack, SatAttackConfig};
 use mlam_locking::sequential::{Fsm, ObfuscatedFsm};
 use mlam_netlist::generate::random_circuit;
@@ -19,6 +20,36 @@ proptest! {
         let locked = lock_xor(&oracle, key_bits, &mut rng);
         let key = locked.correct_key().clone();
         prop_assert!(locked.equivalent_under_key(&oracle, &key));
+    }
+
+    /// The word-parallel exhaustive check agrees with the BDD check for
+    /// the correct key and every single-bit flip of it, on XOR- and
+    /// SARLock-locked circuits of 1–14 inputs (below 6 inputs the one
+    /// block is partly masked).
+    #[test]
+    fn exhaustive_key_check_agrees_with_bdd(
+        seed in any::<u64>(),
+        inputs in 1usize..15,
+        sarlock in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let oracle = random_circuit(inputs, 24, 1 + inputs % 3, &mut rng);
+        let locked = if sarlock {
+            lock_sarlock(&oracle, inputs.min(4), &mut rng)
+        } else {
+            lock_xor(&oracle, 6, &mut rng)
+        };
+        let correct = locked.correct_key().clone();
+        prop_assert!(locked.equivalent_under_key(&oracle, &correct));
+        prop_assert!(locked.equivalent_under_key_formal(&oracle, &correct));
+        for i in 0..correct.len() {
+            let key = correct.with_flipped(i);
+            prop_assert_eq!(
+                locked.equivalent_under_key(&oracle, &key),
+                locked.equivalent_under_key_formal(&oracle, &key),
+                "key bit {} flipped", i
+            );
+        }
     }
 
     /// The SAT attack always recovers a functionally correct key.

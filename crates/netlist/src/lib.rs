@@ -7,7 +7,8 @@
 //!
 //! - [`Netlist`]: a combinational gate-level netlist with primary
 //!   inputs, named outputs and a topologically ordered gate list,
-//! - simulation ([`Netlist::simulate`]),
+//! - simulation ([`Netlist::simulate`], and 64 patterns per pass with
+//!   [`Netlist::simulate_words`]),
 //! - generators ([`generate`]): random DAG circuits, bounded-depth
 //!   `AC⁰` circuits, adders, comparators, parity trees and the classic
 //!   c17 benchmark,
@@ -36,4 +37,4 @@ mod netlist;
 
 pub use bdd::{equivalent_bdd, BddManager, BddRef};
 pub use cnf::{Cnf, TseitinEncoding};
-pub use netlist::{Gate, GateKind, Net, Netlist, NetlistBuilder};
+pub use netlist::{exhaustive_blocks, Gate, GateKind, Net, Netlist, NetlistBuilder};

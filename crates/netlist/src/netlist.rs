@@ -120,6 +120,33 @@ pub struct Gate {
     pub inputs: Vec<Net>,
 }
 
+impl Gate {
+    /// The gate's output word given the words of every earlier net:
+    /// [`GateKind::eval`] applied lane by lane. The builder has checked
+    /// the arity.
+    fn eval_word(&self, values: &[u64]) -> u64 {
+        let ins = self.inputs.iter().map(|n| values[n.index()]);
+        match self.kind {
+            GateKind::And => ins.fold(!0, |a, w| a & w),
+            GateKind::Nand => !ins.fold(!0, |a, w| a & w),
+            GateKind::Or => ins.fold(0, |a, w| a | w),
+            GateKind::Nor => !ins.fold(0, |a, w| a | w),
+            GateKind::Xor => ins.fold(0, |a, w| a ^ w),
+            GateKind::Xnor => !ins.fold(0, |a, w| a ^ w),
+            GateKind::Not => !values[self.inputs[0].index()],
+            GateKind::Buf => values[self.inputs[0].index()],
+            GateKind::Mux => {
+                let (sel, a, b) = (
+                    values[self.inputs[0].index()],
+                    values[self.inputs[1].index()],
+                    values[self.inputs[2].index()],
+                );
+                (sel & b) | (!sel & a)
+            }
+        }
+    }
+}
+
 /// A combinational gate-level netlist.
 ///
 /// Gates are stored in topological order by construction: a gate may
@@ -179,24 +206,68 @@ impl Netlist {
     ///
     /// Panics if `inputs.len() != self.num_inputs()`.
     pub fn simulate(&self, inputs: &[bool]) -> Vec<bool> {
-        let values = self.simulate_nets(inputs);
-        self.outputs.iter().map(|o| values[o.index()]).collect()
+        let values = self.simulate_lane(inputs);
+        self.outputs
+            .iter()
+            .map(|o| values[o.index()] & 1 == 1)
+            .collect()
     }
 
     /// Simulates and returns the value of **every** net (inputs first,
     /// then each gate output in order). Useful for debugging and for
     /// the locking attacks that inspect internal wires.
     pub fn simulate_nets(&self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.num_inputs, "input width mismatch");
-        let mut values = Vec::with_capacity(self.num_nets());
-        values.extend_from_slice(inputs);
-        let mut gate_in = Vec::new();
-        for gate in &self.gates {
-            gate_in.clear();
-            gate_in.extend(gate.inputs.iter().map(|n| values[n.index()]));
-            values.push(gate.kind.eval(&gate_in));
-        }
+        self.simulate_lane(inputs)
+            .into_iter()
+            .map(|w| w & 1 == 1)
+            .collect()
+    }
+
+    /// One pattern through [`simulate_words`](Self::simulate_words), in
+    /// lane 0.
+    fn simulate_lane(&self, inputs: &[bool]) -> Vec<u64> {
+        let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
+        let mut values = Vec::new();
+        self.simulate_words(&words, &mut values);
         values
+    }
+
+    /// Simulates up to 64 input patterns at once, one per bit lane:
+    /// lane `j` of `inputs[i]` is input `i` of pattern `j`. Writes one
+    /// word per net into `values` (inputs first, then each gate output
+    /// in order; lane `j` of every word belongs to pattern `j`), in a
+    /// single forward pass over the gates.
+    ///
+    /// This is the netlist's one evaluator: [`simulate`](Self::simulate)
+    /// and [`simulate_nets`](Self::simulate_nets) are one-lane calls of
+    /// it, and [`GateKind::eval`] is the per-gate spec it is tested
+    /// against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != self.num_inputs()`.
+    pub fn simulate_words(&self, inputs: &[u64], values: &mut Vec<u64>) {
+        assert_eq!(inputs.len(), self.num_inputs, "input width mismatch");
+        values.clear();
+        values.reserve(self.num_nets());
+        values.extend_from_slice(inputs);
+        for gate in &self.gates {
+            let word = gate.eval_word(values);
+            values.push(word);
+        }
+    }
+
+    /// The lanes on which `self` and `other` disagree on at least one
+    /// output, given the net words each got from
+    /// [`simulate_words`](Self::simulate_words) on the same patterns.
+    pub fn output_diff(&self, values: &[u64], other: &Netlist, other_values: &[u64]) -> u64 {
+        debug_assert_eq!(self.num_outputs(), other.num_outputs(), "output count");
+        self.outputs
+            .iter()
+            .zip(&other.outputs)
+            .fold(0, |d, (a, b)| {
+                d | (values[a.index()] ^ other_values[b.index()])
+            })
     }
 
     /// Logic depth: the longest input-to-output path measured in gates.
@@ -218,7 +289,8 @@ impl Netlist {
             .unwrap_or(0)
     }
 
-    /// Exhaustively compares two netlists (small input counts only).
+    /// Exhaustively compares two netlists (small input counts only),
+    /// 64 patterns per evaluation (see [`exhaustive_blocks`]).
     ///
     /// # Panics
     ///
@@ -230,14 +302,68 @@ impl Netlist {
             self.num_inputs <= 20,
             "exhaustive check limited to 20 inputs"
         );
-        for v in 0..(1u64 << self.num_inputs) {
-            let bits: Vec<bool> = (0..self.num_inputs).map(|i| v >> i & 1 == 1).collect();
-            if self.simulate(&bits) != other.simulate(&bits) {
-                return false;
-            }
-        }
-        true
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+        exhaustive_blocks(self.num_inputs, &[], |words, mask| {
+            self.simulate_words(words, &mut ours);
+            other.simulate_words(words, &mut theirs);
+            self.output_diff(&ours, other, &theirs) & mask == 0
+        })
     }
+}
+
+/// Lane `j` of `LANE_PATTERNS[i]` is bit `i` of `j`: the first six
+/// inputs of a 64-pattern block that enumerates consecutive indices.
+const LANE_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Enumerates all `2^num_inputs` input patterns in blocks of 64, for
+/// [`Netlist::simulate_words`]. Lane `j` of block `b` is pattern
+/// `64·b + j`, whose input `i` is bit `i` of that index: inputs 0–5
+/// take constant lane masks, higher inputs come from the block index.
+///
+/// `check(words, mask)` receives the `num_inputs` enumerated words
+/// followed by `fixed` (constant words, e.g. a broadcast key) and the
+/// mask of lanes that are real patterns (all 64 unless
+/// `num_inputs < 6`). Returns `false` as soon as a block fails the
+/// check, `true` if every block passes.
+///
+/// # Panics
+///
+/// Panics if `num_inputs > 32`.
+pub fn exhaustive_blocks(
+    num_inputs: usize,
+    fixed: &[u64],
+    mut check: impl FnMut(&[u64], u64) -> bool,
+) -> bool {
+    assert!(
+        num_inputs <= 32,
+        "exhaustive enumeration limited to 32 inputs"
+    );
+    let mut words = vec![0u64; num_inputs + fixed.len()];
+    words[num_inputs..].copy_from_slice(fixed);
+    for (w, &lanes) in words.iter_mut().zip(&LANE_PATTERNS).take(num_inputs) {
+        *w = lanes;
+    }
+    let mask = if num_inputs >= 6 {
+        !0
+    } else {
+        (1u64 << (1 << num_inputs)) - 1
+    };
+    for block in 0..1u64 << num_inputs.saturating_sub(6) {
+        for (i, w) in words.iter_mut().enumerate().take(num_inputs).skip(6) {
+            *w = 0u64.wrapping_sub(block >> (i - 6) & 1);
+        }
+        if !check(&words, mask) {
+            return false;
+        }
+    }
+    true
 }
 
 /// Incremental builder enforcing topological order.
@@ -323,6 +449,107 @@ impl NetlistBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-pattern evaluator that [`Netlist::simulate_words`]
+    /// replaced: one `Vec<bool>` per call, one [`GateKind::eval`] per
+    /// gate. Kept as the reference the kernel must match.
+    fn simulate_nets_scalar(netlist: &Netlist, inputs: &[bool]) -> Vec<bool> {
+        assert_eq!(inputs.len(), netlist.num_inputs, "input width mismatch");
+        let mut values = Vec::with_capacity(netlist.num_nets());
+        values.extend_from_slice(inputs);
+        let mut gate_in = Vec::new();
+        for gate in &netlist.gates {
+            gate_in.clear();
+            gate_in.extend(gate.inputs.iter().map(|n| values[n.index()]));
+            values.push(gate.kind.eval(&gate_in));
+        }
+        values
+    }
+
+    /// A random circuit over every [`GateKind`], with 1–4-input
+    /// AND/OR/NAND/NOR/XOR/XNOR, MUX, NOT and BUF gates.
+    fn every_kind_circuit(num_inputs: usize, num_gates: usize, rng: &mut StdRng) -> Netlist {
+        const KINDS: [GateKind; 9] = [
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+            GateKind::Mux,
+        ];
+        let num_outputs = num_gates.min(3);
+        let mut b = Netlist::builder(num_inputs, num_outputs);
+        for _ in 0..num_gates {
+            let kind = KINDS[rng.gen_range(0..KINDS.len())];
+            let arity = match kind {
+                GateKind::Not | GateKind::Buf => 1,
+                GateKind::Mux => 3,
+                _ => rng.gen_range(1..5),
+            };
+            let avail = b.num_nets() as u32;
+            let ins = (0..arity).map(|_| Net(rng.gen_range(0..avail))).collect();
+            b.gate(kind, ins);
+        }
+        let total = b.num_nets();
+        for o in 0..num_outputs {
+            b.set_output(o, Net((total - num_outputs + o) as u32));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn word_kernel_matches_scalar_eval_lane_by_lane() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut values = Vec::new();
+        for case in 0..200 {
+            let n = 1 + case % 9;
+            let c = every_kind_circuit(n, 1 + case % 40, &mut rng);
+            let fills: [fn(&mut StdRng) -> u64; 3] = [|r| r.gen(), |_| 0, |_| !0];
+            for fill in fills {
+                let words: Vec<u64> = (0..n).map(|_| fill(&mut rng)).collect();
+                c.simulate_words(&words, &mut values);
+                assert_eq!(values.len(), c.num_nets());
+                for lane in 0..64 {
+                    let bits: Vec<bool> = words.iter().map(|w| w >> lane & 1 == 1).collect();
+                    let expected = simulate_nets_scalar(&c, &bits);
+                    let got: Vec<bool> = values.iter().map(|w| w >> lane & 1 == 1).collect();
+                    assert_eq!(got, expected, "case {case}, lane {lane}");
+                    if lane == 0 {
+                        assert_eq!(c.simulate_nets(&bits), expected, "case {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_blocks_enumerate_every_pattern_once() {
+        for n in 0..=8usize {
+            let mut seen = vec![0u32; 1 << n];
+            let done = exhaustive_blocks(n, &[7, !0], |words, mask| {
+                assert_eq!(words.len(), n + 2);
+                assert_eq!(&words[n..], &[7, !0]);
+                for lane in (0..64).filter(|l| mask >> l & 1 == 1) {
+                    let v = (0..n).fold(0usize, |v, i| v | ((words[i] >> lane & 1) as usize) << i);
+                    seen[v] += 1;
+                }
+                true
+            });
+            assert!(done);
+            assert!(seen.iter().all(|&c| c == 1), "n = {n}: {seen:?}");
+        }
+        let mut calls = 0;
+        assert!(!exhaustive_blocks(8, &[], |_, _| {
+            calls += 1;
+            calls < 2
+        }));
+        assert_eq!(calls, 2, "stops at the first failing block");
+    }
 
     fn full_adder() -> Netlist {
         // inputs: a, b, cin; outputs: sum, cout

@@ -3,6 +3,7 @@
 
 use mlam_netlist::bench_format::{from_bench, to_bench};
 use mlam_netlist::cnf::{tseitin_encode, Cnf};
+use mlam_netlist::equivalent_bdd;
 use mlam_netlist::generate::{parity_tree, random_circuit, ripple_adder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,6 +17,22 @@ proptest! {
         let c = random_circuit(6, gates, 2, &mut rng);
         let back = from_bench(&to_bench(&c)).expect("parse");
         prop_assert!(c.equivalent_exhaustive(&back));
+    }
+
+    /// The word-parallel exhaustive check agrees with the BDD on random
+    /// pairs of circuits of 1–14 inputs (below 6 inputs the one block
+    /// is partly masked), and a circuit is equivalent to itself.
+    #[test]
+    fn exhaustive_equivalence_agrees_with_bdd(
+        seed in any::<u64>(),
+        inputs in 1usize..15,
+        gates in 1usize..12,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = random_circuit(inputs, gates, 1, &mut rng);
+        let b = random_circuit(inputs, gates, 1, &mut rng);
+        prop_assert!(a.equivalent_exhaustive(&a));
+        prop_assert_eq!(a.equivalent_exhaustive(&b), equivalent_bdd(&a, &b));
     }
 
     /// Adders add for arbitrary widths and operands.

@@ -2,7 +2,7 @@
 //! run through the comparability detector, each annotated with the
 //! experiment in this repository that demonstrates it empirically.
 //!
-//! Run with: `cargo run -p mlam-examples --example pitfall_audit`
+//! Run with: `cargo run -p mlam --example pitfall_audit`
 
 use mlam::adversary::{
     AccessModel, AdversaryModel, DistributionModel, InferenceGoal, RepresentationModel,
