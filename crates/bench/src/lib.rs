@@ -109,6 +109,31 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
     options
 }
 
+/// Writes a benchmark record such as `BENCH_8.json` and returns where
+/// it went. A full-scale run regenerates the checked-in copy in the
+/// current directory. A `--quick` run writes into its `--json`
+/// directory, or nowhere without one, so a smoke run never replaces
+/// the checked-in full-scale record.
+///
+/// # Panics
+///
+/// Panics if the record cannot be serialized or written.
+pub fn write_bench_record(
+    options: &CliOptions,
+    file_name: &str,
+    record: &impl serde::Serialize,
+) -> Option<PathBuf> {
+    let path = if options.quick {
+        options.json_dir.as_ref()?.join(file_name)
+    } else {
+        PathBuf::from(file_name)
+    };
+    let text = serde_json::to_string_pretty(record).expect("bench record serialization");
+    std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
+    Some(path)
+}
+
 /// A reproduction run in progress: wraps every experiment driver call
 /// with wall-clock timing and metric snapshots, accumulating a
 /// [`RunManifest`].
@@ -818,6 +843,31 @@ mod tests {
         assert_eq!(opts.json_dir.as_deref(), Some(Path::new("out/dir")));
         let none = parse_cli(["bin", "--other"].map(String::from));
         assert_eq!(none, CliOptions::default());
+    }
+
+    #[test]
+    fn quick_bench_records_stay_out_of_the_working_directory() {
+        let name = "BENCH_quick_record_test.json";
+        let quick = CliOptions {
+            quick: true,
+            ..CliOptions::default()
+        };
+        assert_eq!(write_bench_record(&quick, name, &[1, 2]), None);
+        assert!(!Path::new(name).exists());
+
+        let dir = std::env::temp_dir().join(format!("mlam_bench_record_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let with_dir = CliOptions {
+            json_dir: Some(dir.clone()),
+            ..quick
+        };
+        let path = write_bench_record(&with_dir, name, &[1, 2]).expect("written");
+        assert_eq!(path, dir.join(name));
+        assert!(!Path::new(name).exists());
+        let back: Vec<u32> =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(back, [1, 2]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -101,7 +101,7 @@ mod tests {
     use super::*;
     use crate::appsat::{appsat, AppSatConfig};
     use crate::sat_attack::{sat_attack, SatAttackConfig};
-    use mlam_netlist::generate::c17;
+    use mlam_netlist::generate::{c17, random_circuit};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -151,6 +151,20 @@ mod tests {
             "SARLock must force ≈2^k DIPs, got {}",
             result.iterations
         );
+    }
+
+    #[test]
+    fn sat_attack_takes_exactly_one_dip_per_wrong_key() {
+        // Every DIP eliminates exactly the one wrong key equal to its
+        // low input bits, so the exact attack needs 2^k − 1 of them.
+        let mut rng = StdRng::seed_from_u64(6);
+        for k in [4, 6, 8, 10] {
+            let orig = random_circuit(k + 2, 40, 2, &mut rng);
+            let locked = lock_sarlock(&orig, k, &mut rng);
+            let result = sat_attack(&locked, &orig, SatAttackConfig::default());
+            assert!(result.key_is_functionally_correct, "k = {k}");
+            assert_eq!(result.iterations, (1 << k) - 1, "k = {k}");
+        }
     }
 
     #[test]

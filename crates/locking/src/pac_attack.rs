@@ -13,7 +13,7 @@
 //! same instance quantifies the paper's access-model axis.
 
 use crate::combinational::LockedNetlist;
-use crate::dip::CopyTemplate;
+use crate::dip::CopyEncoder;
 use mlam_boolean::BitVec;
 use mlam_netlist::Netlist;
 use mlam_sat::{SatResult, Solver};
@@ -71,8 +71,8 @@ pub fn pac_attack<R: Rng + ?Sized>(
     assert_eq!(oracle.num_outputs(), locked.netlist().num_outputs());
 
     let mut keysolver = Solver::new();
-    let mut template = CopyTemplate::new(locked);
-    let (_i, keyvars, _o) = template.free_copy(&mut keysolver);
+    let keyvars = keysolver.new_vars(locked.num_key_bits());
+    let mut encoder = CopyEncoder::new(locked.netlist());
     let mut examples_used = 0usize;
     let mut accepted = false;
     let mut key = BitVec::zeros(locked.num_key_bits());
@@ -84,7 +84,7 @@ pub fn pac_attack<R: Rng + ?Sized>(
                 .map(|_| rng.gen())
                 .collect();
             let response = oracle.simulate(&x);
-            template.pinned_copy(&mut keysolver, &keyvars, &x, &response);
+            encoder.pinned_copy(&mut keysolver, &keyvars, &x, &response);
             examples_used += 1;
         }
         // Any consistent key.
@@ -110,7 +110,7 @@ pub fn pac_attack<R: Rng + ?Sized>(
             let response = oracle.simulate(&x);
             if locked.simulate(&x, &key) != response {
                 disagreed = true;
-                template.pinned_copy(&mut keysolver, &keyvars, &x, &response);
+                encoder.pinned_copy(&mut keysolver, &keyvars, &x, &response);
                 examples_used += 1;
                 break;
             }

@@ -65,6 +65,64 @@ pub fn random_circuit<R: Rng + ?Sized>(
     b.build()
 }
 
+/// Generates a random circuit over every [`GateKind`], for tests that
+/// hold an evaluator or an encoder to [`GateKind::eval`]: AND, OR,
+/// NAND, NOR, XOR and XNOR gates take 1–4 inputs, NOT and BUF one, MUX
+/// three, each drawn uniformly from the existing nets with repeats
+/// allowed. About one gate in seven feeds a single net to all of its
+/// inputs, so constant cones (`XOR(a, a)`, `XNOR(a, a)`) turn up. The
+/// outputs are the last `num_outputs` gate nets.
+///
+/// # Panics
+///
+/// Panics if `num_inputs == 0`, `num_gates < num_outputs`, or
+/// `num_outputs == 0`.
+pub fn every_kind_circuit<R: Rng + ?Sized>(
+    num_inputs: usize,
+    num_gates: usize,
+    num_outputs: usize,
+    rng: &mut R,
+) -> Netlist {
+    assert!(num_inputs > 0, "need at least one input");
+    assert!(num_outputs > 0, "need at least one output");
+    assert!(
+        num_gates >= num_outputs,
+        "need at least one gate per output"
+    );
+    const KINDS: [GateKind; 9] = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+        GateKind::Mux,
+    ];
+    let mut b = Netlist::builder(num_inputs, num_outputs);
+    for _ in 0..num_gates {
+        let kind = KINDS[rng.gen_range(0..KINDS.len())];
+        let arity = match kind {
+            GateKind::Not | GateKind::Buf => 1,
+            GateKind::Mux => 3,
+            _ => rng.gen_range(1..=4),
+        };
+        let avail = b.num_nets() as u32;
+        let same = rng.gen_bool(0.15);
+        let first = rng.gen_range(0..avail);
+        let inputs = (0..arity)
+            .map(|_| Net(if same { first } else { rng.gen_range(0..avail) }))
+            .collect();
+        b.gate(kind, inputs);
+    }
+    let total = b.num_nets();
+    for o in 0..num_outputs {
+        b.set_output(o, Net((total - num_outputs + o) as u32));
+    }
+    b.build()
+}
+
 // Small helper: builder inputs are just the first nets.
 fn b_input(i: usize) -> Net {
     Net(i as u32)

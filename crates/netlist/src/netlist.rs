@@ -449,6 +449,7 @@ impl NetlistBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::every_kind_circuit;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -468,47 +469,14 @@ mod tests {
         values
     }
 
-    /// A random circuit over every [`GateKind`], with 1–4-input
-    /// AND/OR/NAND/NOR/XOR/XNOR, MUX, NOT and BUF gates.
-    fn every_kind_circuit(num_inputs: usize, num_gates: usize, rng: &mut StdRng) -> Netlist {
-        const KINDS: [GateKind; 9] = [
-            GateKind::And,
-            GateKind::Or,
-            GateKind::Nand,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-            GateKind::Not,
-            GateKind::Buf,
-            GateKind::Mux,
-        ];
-        let num_outputs = num_gates.min(3);
-        let mut b = Netlist::builder(num_inputs, num_outputs);
-        for _ in 0..num_gates {
-            let kind = KINDS[rng.gen_range(0..KINDS.len())];
-            let arity = match kind {
-                GateKind::Not | GateKind::Buf => 1,
-                GateKind::Mux => 3,
-                _ => rng.gen_range(1..5),
-            };
-            let avail = b.num_nets() as u32;
-            let ins = (0..arity).map(|_| Net(rng.gen_range(0..avail))).collect();
-            b.gate(kind, ins);
-        }
-        let total = b.num_nets();
-        for o in 0..num_outputs {
-            b.set_output(o, Net((total - num_outputs + o) as u32));
-        }
-        b.build()
-    }
-
     #[test]
     fn word_kernel_matches_scalar_eval_lane_by_lane() {
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let mut values = Vec::new();
         for case in 0..200 {
             let n = 1 + case % 9;
-            let c = every_kind_circuit(n, 1 + case % 40, &mut rng);
+            let gates = 1 + case % 40;
+            let c = every_kind_circuit(n, gates, gates.min(3), &mut rng);
             let fills: [fn(&mut StdRng) -> u64; 3] = [|r| r.gen(), |_| 0, |_| !0];
             for fill in fills {
                 let words: Vec<u64> = (0..n).map(|_| fill(&mut rng)).collect();

@@ -82,10 +82,15 @@ pub fn parse_dimacs(text: &str) -> Result<DimacsInstance, ParseDimacsError> {
             if parts.len() != 3 || parts[0] != "cnf" {
                 return Err(ParseDimacsError::new(lineno, "expected 'p cnf V C'"));
             }
+            // Literals are `i32`, so no variable above `i32::MAX` can
+            // be named; a larger count would only make `into_solver`
+            // allocate variables nothing refers to.
             num_vars = Some(
                 parts[1]
-                    .parse()
-                    .map_err(|_| ParseDimacsError::new(lineno, "bad variable count"))?,
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n <= i32::MAX as usize)
+                    .ok_or_else(|| ParseDimacsError::new(lineno, "bad variable count"))?,
             );
             declared_clauses = parts[2]
                 .parse()
@@ -178,5 +183,18 @@ mod tests {
         assert!(parse_dimacs("p cnf 1 1\n1\n").is_err()); // unterminated
         assert!(parse_dimacs("p dnf 1 1\n").is_err()); // bad format tag
         assert!(parse_dimacs("").is_err()); // missing header
+    }
+
+    #[test]
+    fn variable_count_beyond_i32_is_rejected() {
+        let max = format!("p cnf {} 0\n", i32::MAX);
+        assert_eq!(
+            parse_dimacs(&max).expect("parse").num_vars,
+            i32::MAX as usize
+        );
+        for text in ["p cnf 2147483648 0\n", "p cnf 4294967297 0\n"] {
+            let err = parse_dimacs(text).expect_err("count beyond i32::MAX");
+            assert_eq!(err.to_string(), "line 1: bad variable count");
+        }
     }
 }
